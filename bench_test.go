@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"sort"
 	"testing"
 	"time"
 
@@ -119,14 +120,17 @@ func BenchmarkTable2Legalizers(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkersScaling measures the parallel hot path: the full pipeline
-// on the largest suite benchmark at fixed worker counts plus all cores.
-// Every variant produces the identical placement (the determinism contract
-// of internal/par), so only wall-clock may differ; compare against the
-// serial numbers in BENCH_baseline.json with cmd/benchdiff. On a 4+ core
-// machine workers=all is the speedup check over workers=1.
+// BenchmarkWorkersScaling measures the full pipeline on the largest suite
+// benchmark at fixed worker counts plus all cores. Every variant produces
+// the identical placement (the determinism contract of internal/par), so
+// only wall-clock may differ. The workers=2 variant also reports
+// speedup-vs-serial: the median serial legalization time over the median
+// 2-worker time, from alternated runs of the same design on the same
+// machine. Like eco-vs-cold the ratio is self-relative, so CI gates it hard
+// (perf-smoke: ≥ 0.9): a parallel path that is slower than serial fails.
 func BenchmarkWorkersScaling(b *testing.B) {
 	base := genBench(b, "superblue19", benchScale)
+	speedup := 0.0
 	for _, w := range []int{1, 2, 4, 0} {
 		name := fmt.Sprintf("workers=%d", w)
 		if w == 0 {
@@ -140,8 +144,43 @@ func BenchmarkWorkersScaling(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			if w == 2 {
+				b.StopTimer()
+				if speedup == 0 {
+					speedup = speedupVsSerial(b, base, 2, 7)
+				}
+				b.ReportMetric(speedup, "speedup-vs-serial")
+			}
 		})
 	}
+}
+
+// speedupVsSerial times rounds pairs of legalizations of d, one serial and
+// one at the given worker count, and returns median(serial) /
+// median(parallel). Alternating the two keeps slow drift on a shared
+// machine (frequency scaling, noisy neighbours) from landing on one side
+// only.
+func speedupVsSerial(b *testing.B, d *design.Design, workers, rounds int) float64 {
+	serial := make([]float64, rounds)
+	parallel := make([]float64, rounds)
+	for r := 0; r < rounds; r++ {
+		serial[r] = timeLegalize(b, d, 1)
+		parallel[r] = timeLegalize(b, d, workers)
+	}
+	sort.Float64s(serial)
+	sort.Float64s(parallel)
+	return serial[rounds/2] / parallel[rounds/2]
+}
+
+// timeLegalize returns the wall time, in seconds, of one legalization of a
+// clone of d at the given worker count.
+func timeLegalize(b *testing.B, d *design.Design, workers int) float64 {
+	c := d.Clone()
+	t0 := time.Now()
+	if _, err := core.New(core.Options{Workers: workers}).Legalize(c); err != nil {
+		b.Fatal(err)
+	}
+	return time.Since(t0).Seconds()
 }
 
 // BenchmarkSingleRowMMSIMvsPlaceRow regenerates the Section 5.3 experiment:
@@ -615,7 +654,7 @@ func BenchmarkMMSIMSteadyState(b *testing.B) {
 	}
 	prob := &lcp.Problem{A: p.AssembleLCPMatrix(), Q: p.LCPVector()}
 	ws := lcp.NewWorkspace(p.NumVars + p.NumCons)
-	sv, err := lcp.NewSolver(prob, sp, lcp.Options{Workers: 1, Workspace: ws, MaxIter: 1 << 30})
+	sv, err := lcp.NewSolver(prob, sp, lcp.Options{Workspace: ws, MaxIter: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -82,11 +82,13 @@ type Options struct {
 	// OnIter forwards MMSIM per-iteration progress.
 	OnIter func(k int, dz float64)
 
-	// Workers shards the hot stages (row assignment, the MMSIM per-iteration
-	// kernels and block solves, and the Tetris allocation's per-row scans)
-	// across goroutines: 0 means GOMAXPROCS, 1 means serial. Any worker
-	// count produces bit-identical placements — see internal/par and
-	// DESIGN.md's "Parallel decomposition & determinism".
+	// Workers bounds the goroutines for work that is already independent:
+	// the once-per-job row-assignment and Tetris scans, the racing fallback
+	// rungs of the resilient cascade, and concurrent windows in
+	// internal/window. 0 means GOMAXPROCS, 1 means serial. The MMSIM
+	// iteration itself always runs on one goroutine. Any worker count
+	// produces bit-identical placements — see internal/par and DESIGN.md's
+	// "Parallel decomposition & determinism".
 	Workers int
 
 	// Warm, when non-nil, carries cached solver state across repeated
@@ -486,7 +488,6 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 		S0:          s0,
 		ResidualTol: resTol,
 		OnIter:      opts.OnIter,
-		Workers:     opts.Workers,
 	}
 	if warm != nil {
 		if warm.ws == nil {

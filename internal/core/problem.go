@@ -283,31 +283,6 @@ func (p *Problem) ApplyH(dst, src []float64) {
 	p.addLambdaLaplacian(dst, src, p.Lambda)
 }
 
-// ApplyHP is ApplyH sharded per cell block. H is block diagonal per cell
-// (single-row cells are 1x1 identity blocks), so each block's output slots
-// are disjoint and the per-slot arithmetic is unchanged — the result is
-// bit-identical to ApplyH at any worker count.
-func (p *Problem) ApplyHP(workers int, dst, src []float64) {
-	if par.Resolve(workers) <= 1 {
-		p.ApplyH(dst, src)
-		return
-	}
-	par.For(workers, len(src), par.GrainVec, func(lo, hi int) {
-		copy(dst[lo:hi], src[lo:hi])
-	})
-	lambda := p.Lambda
-	par.For(workers, len(p.CellVars), par.GrainCells, func(lo, hi int) {
-		for _, vars := range p.CellVars[lo:hi] {
-			for k := 0; k+1 < len(vars); k++ {
-				a, b := vars[k], vars[k+1]
-				diff := src[b] - src[a]
-				dst[a] -= lambda * diff
-				dst[b] += lambda * diff
-			}
-		}
-	})
-}
-
 // addLambdaLaplacian computes dst += coef * (EᵀE) src using the per-cell
 // path-Laplacian structure.
 func (p *Problem) addLambdaLaplacian(dst, src []float64, coef float64) {
@@ -326,28 +301,7 @@ func (p *Problem) addLambdaLaplacian(dst, src []float64, coef float64) {
 // c1 = 1/β*+1, c2·λ' = λ/β* gives the (1/β*)H + I system of the MMSIM).
 // lamCoef is the coefficient multiplying L. dst and rhs may alias.
 func (p *Problem) SolveHShifted(c1, lamCoef float64, dst, rhs []float64) {
-	p.SolveHShiftedP(1, c1, lamCoef, dst, rhs)
-}
-
-// SolveHShiftedP is SolveHShifted sharded per cell block: every variable
-// belongs to exactly one cell block and each block solve reads only its own
-// rhs entries and writes only its own dst entries, so any worker count
-// yields bit-identical results. dst and rhs may alias.
-func (p *Problem) SolveHShiftedP(workers int, c1, lamCoef float64, dst, rhs []float64) {
-	if par.Resolve(workers) <= 1 {
-		p.solveHShiftedBlocks(c1, lamCoef, p.CellVars, dst, rhs)
-		return
-	}
-	par.For(workers, len(p.CellVars), par.GrainCells, func(lo, hi int) {
-		p.solveHShiftedBlocks(c1, lamCoef, p.CellVars[lo:hi], dst, rhs)
-	})
-}
-
-// solveHShiftedBlocks solves the shifted system on one run of cell blocks;
-// both the serial path and every par.For shard of SolveHShiftedP funnel
-// through it, so the per-block arithmetic is one piece of code.
-func (p *Problem) solveHShiftedBlocks(c1, lamCoef float64, blocks [][]int, dst, rhs []float64) {
-	for _, vars := range blocks {
+	for _, vars := range p.CellVars {
 		d := len(vars)
 		switch {
 		case d == 0:
@@ -427,31 +381,13 @@ func (p *Problem) HDiag() []float64 {
 // chain off-diagonals — tridiagonal per cell, solved by the Thomas
 // algorithm. dst and rhs may alias.
 func (p *Problem) SolveHOmegaDiag(beta float64, dst, rhs []float64) {
-	p.SolveHOmegaDiagP(1, beta, dst, rhs)
-}
-
-// SolveHOmegaDiagP is SolveHOmegaDiag sharded per cell block (same
-// disjointness argument as SolveHShiftedP). dst and rhs may alias.
-func (p *Problem) SolveHOmegaDiagP(workers int, beta float64, dst, rhs []float64) {
 	c1 := 1/beta + 1
 	lam := p.Lambda
 	off := lam / beta
-	if par.Resolve(workers) <= 1 {
-		p.solveHOmegaDiagBlocks(c1, lam, off, p.CellVars, dst, rhs)
-		return
-	}
-	par.For(workers, len(p.CellVars), par.GrainCells, func(lo, hi int) {
-		p.solveHOmegaDiagBlocks(c1, lam, off, p.CellVars[lo:hi], dst, rhs)
-	})
-}
-
-// solveHOmegaDiagBlocks solves the Ω = diag(H) system on one run of cell
-// blocks; the serial path and every par.For shard of SolveHOmegaDiagP share
-// it. The stack scratch keeps realistic spans allocation-free.
-func (p *Problem) solveHOmegaDiagBlocks(c1, lam, off float64, blocks [][]int, dst, rhs []float64) {
+	// Stack scratch keeps realistic spans allocation-free.
 	const maxSpan = 16
 	var diagA, rhsA [maxSpan]float64
-	for _, vars := range blocks {
+	for _, vars := range p.CellVars {
 		d := len(vars)
 		switch {
 		case d == 0:

@@ -184,7 +184,7 @@ func TestWarmSeedTransform(t *testing.T) {
 }
 
 // TestSolverStepZeroAllocs is the steady-state allocation gate: after
-// NewSolver binds an explicit workspace, each serial MMSIM iteration must
+// NewSolver binds an explicit workspace, each MMSIM iteration must
 // perform zero heap allocations.
 func TestSolverStepZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(405))
@@ -194,7 +194,7 @@ func TestSolverStepZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := NewWorkspace(p.N())
-	sv, err := NewSolver(p, sp, Options{Workers: 1, Workspace: ws, MaxIter: 1 << 20})
+	sv, err := NewSolver(p, sp, Options{Workspace: ws, MaxIter: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
-// Package par provides the deterministic parallel-for primitives the
-// legalizer hot paths share: fixed-grain chunked loops, ordered reductions,
-// and a priority race for the resilient cascade.
+// Package par provides the deterministic parallel-for primitives for work
+// that is already independent: fixed-grain chunked loops and ordered
+// reductions for the once-per-job row-assignment and Tetris scans, and a
+// priority race for the resilient cascade. The MMSIM iteration itself is
+// serial (see DESIGN.md, "Parallel decomposition & determinism").
 //
 // The contract every helper obeys is that the result is a pure function of
 // the input and the chunking — never of the worker count or of scheduling
@@ -12,7 +14,6 @@
 package par
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -28,19 +29,15 @@ func Resolve(n int) int {
 	return n
 }
 
-// Default grain sizes for the legalizer kernels. Vector ops are memory-bound
-// streams, so chunks are large; sparse rows and solver blocks do more work
-// per element, so chunks are smaller. Grains are fixed constants — never
-// derived from the worker count — to keep chunk boundaries, and therefore
-// all floating-point partials, independent of parallelism.
+// Default grain sizes for the once-per-job scans. Grains are fixed
+// constants — never derived from the worker count — to keep chunk
+// boundaries, and therefore all floating-point partials, independent of
+// parallelism.
 const (
-	// GrainVec is the chunk size for elementwise vector kernels.
-	GrainVec = 4096
-	// GrainRows is the chunk size for per-row sparse kernels (SpMV rows,
-	// tridiagonal segments, placement rows).
+	// GrainRows is the chunk size for per-placement-row loops.
 	GrainRows = 256
-	// GrainCells is the chunk size for per-cell loops (block solves, row
-	// assignment, snapping).
+	// GrainCells is the chunk size for per-cell loops (row assignment,
+	// snapping).
 	GrainCells = 512
 )
 
@@ -101,35 +98,6 @@ func For(workers, n, grain int, fn func(lo, hi int)) {
 	}
 }
 
-// ForContext is For with cooperative cancellation: workers stop picking up
-// new chunks once ctx is done and the context error is returned. Chunks
-// already started always complete, so partially written outputs cover a
-// prefix-closed set of chunks; callers treat a non-nil return as "abort the
-// whole computation", matching the legalizer's cancellation semantics.
-func ForContext(ctx context.Context, workers, n, grain int, fn func(lo, hi int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	var canceled atomic.Bool
-	For(workers, n, grain, func(lo, hi int) {
-		if canceled.Load() {
-			return
-		}
-		if ctx.Err() != nil {
-			canceled.Store(true)
-			return
-		}
-		fn(lo, hi)
-	})
-	if canceled.Load() || ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return nil
-}
-
 // ReduceMax computes the maximum of per-chunk partials over [0, n). Each
 // chunk's partial is produced by fn(lo, hi); partials are combined in chunk
 // order. Because max is insensitive to combination order this is identical
@@ -156,35 +124,6 @@ func ReduceMax(workers, n, grain int, fn func(lo, hi int) float64) float64 {
 		}
 	}
 	return m
-}
-
-// ReduceMaxOK is ReduceMax for kernels that fuse a validity scan into the
-// same loop body: each chunk produces a max partial plus a boolean (typically
-// "every value this chunk wrote is finite"). Partials combine in chunk order
-// with max, flags combine with AND — both order-insensitive — so the result
-// is bit-identical to a serial scan at any worker count. Returns (0, true)
-// for n <= 0.
-func ReduceMaxOK(workers, n, grain int, fn func(lo, hi int) (float64, bool)) (float64, bool) {
-	if n <= 0 {
-		return 0, true
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
-	partials := make([]float64, chunks)
-	oks := make([]bool, chunks)
-	For(workers, n, grain, func(lo, hi int) {
-		partials[lo/grain], oks[lo/grain] = fn(lo, hi)
-	})
-	m, ok := partials[0], oks[0]
-	for c := 1; c < chunks; c++ {
-		if partials[c] > m {
-			m = partials[c]
-		}
-		ok = ok && oks[c]
-	}
-	return m, ok
 }
 
 // ReduceErr runs fn over fixed chunks and returns the error produced by the

@@ -55,7 +55,7 @@ func TestForDeterministicFloats(t *testing.T) {
 	}
 	run := func(workers int) []float64 {
 		dst := make([]float64, n)
-		For(workers, n, GrainVec, func(lo, hi int) {
+		For(workers, n, 4096, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				dst[i] = math.Sqrt(math.Abs(src[i])) * 1.000000001
 			}
@@ -85,24 +85,6 @@ func TestForPanicPropagates(t *testing.T) {
 			panic("boom")
 		}
 	})
-}
-
-func TestForContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := int32(0)
-	err := ForContext(ctx, 4, 1000, 10, func(lo, hi int) {
-		atomic.AddInt32(&ran, 1)
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if atomic.LoadInt32(&ran) == 100 {
-		t.Error("expected cancellation to skip at least the final chunks")
-	}
-	if err := ForContext(context.Background(), 2, 100, 10, func(lo, hi int) {}); err != nil {
-		t.Fatalf("uncanceled run returned %v", err)
-	}
 }
 
 func TestReduceMaxMatchesSerial(t *testing.T) {

@@ -3,7 +3,7 @@
 // committed golden values. The fixture serves two purposes: it freezes the
 // quality of results (displacement, ΔHPWL, illegal-cell count, MMSIM
 // iteration count) so an accidental algorithmic change fails loudly, and it
-// proves the determinism contract of the parallel hot path — every worker
+// proves the determinism contract of the parallel paths — every worker
 // count must reproduce the golden metrics and the exact placement hash.
 package regress
 

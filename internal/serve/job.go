@@ -35,9 +35,10 @@ type OptionsJSON struct {
 	AutoTheta  bool    `json:"autotheta,omitempty"`
 	AutoTune   bool    `json:"autotune,omitempty"`
 	BoundRight bool    `json:"boundright,omitempty"`
-	// Workers shards the solver's hot stages. It deliberately does NOT
-	// enter the cache key: the parallel hot path is bit-deterministic, so
-	// any worker count yields the same placement.
+	// Workers bounds the goroutines a job spends on independent work:
+	// concurrent windows, racing fallback rungs, and the row-assignment and
+	// Tetris scans (the MMSIM iteration is serial). It deliberately does NOT
+	// enter the cache key: any worker count yields the same placement.
 	Workers int `json:"workers,omitempty"`
 }
 

@@ -50,7 +50,9 @@ type Report struct {
 	BuildMS  float64 `json:"build_ms,omitempty"`
 	SolveMS  float64 `json:"solve_ms,omitempty"`
 	TetrisMS float64 `json:"tetris_ms,omitempty"`
-	WallMS   float64 `json:"wall_ms"`
+	// WallMS is the run's wall time; on a served cache hit, the hit
+	// request's own handler latency instead (see docs/serving.md).
+	WallMS float64 `json:"wall_ms"`
 
 	// PosHash is the FNV-1a placement digest from internal/regress: equal
 	// hashes mean bit-identical placements (the determinism contract).

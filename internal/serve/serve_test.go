@@ -85,6 +85,45 @@ func TestLegalizeBenchMissThenHit(t *testing.T) {
 	}
 }
 
+// TestCacheHitWallIsOwnLatency pins the meaning of wall_ms on a cache hit:
+// the repeat request's own handler latency, which is far below the leader's
+// solve time, while the cached report keeps the leader's figure.
+func TestCacheHitWallIsOwnLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a benchmark")
+	}
+	s, ts := newTestServer(t, Config{})
+	req := &Request{Bench: "des_perf_1", Scale: 0.004}
+
+	var first report.Report
+	if resp := post(t, ts.URL, req, &first); resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d", resp.StatusCode)
+	}
+	if first.Cache != "miss" || first.WallMS <= 0 {
+		t.Fatalf("leader response: cache %q, wall_ms %g", first.Cache, first.WallMS)
+	}
+	var second report.Report
+	post(t, ts.URL, req, &second)
+	if second.Cache != "hit" {
+		t.Fatalf("repeat response cache = %q, want hit", second.Cache)
+	}
+	t.Logf("leader wall_ms %g, hit wall_ms %g", first.WallMS, second.WallMS)
+	if !(second.WallMS > 0 && second.WallMS < first.WallMS) {
+		t.Errorf("hit wall_ms = %g, want in (0, %g) — the leader's solve time must not be repeated",
+			second.WallMS, first.WallMS)
+	}
+	if err := req.validate(); err != nil { // resolve defaults as the handler did
+		t.Fatal(err)
+	}
+	cached, ok := s.cache.lookup(req.key())
+	if !ok {
+		t.Fatal("solved report missing from the cache")
+	}
+	if cached.WallMS != first.WallMS {
+		t.Errorf("cached report mutated: wall_ms %g, want the leader's %g", cached.WallMS, first.WallMS)
+	}
+}
+
 // TestConcurrentIdenticalJobsSingleSolve is the dedup acceptance test: two
 // concurrent jobs of the same design+options must produce exactly one solve
 // and one cache hit, with bit-identical placements.

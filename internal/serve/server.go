@@ -444,6 +444,7 @@ func (s *Server) admit(j *job) error {
 }
 
 func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	if s.isDraining() {
 		s.refuse(w, http.StatusServiceUnavailable, "draining", "server is draining; resubmit elsewhere")
 		s.stats.rejectedDraining.inc()
@@ -480,14 +481,14 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 	key := req.key()
 	if rep, ok := s.cache.lookup(key); ok {
 		s.cache.hits.inc()
-		s.respond(w, &req, rep, "hit")
+		s.respondHit(w, &req, rep, start)
 		return
 	}
 
 	fl, leader, rep := s.cache.join(key)
 	if rep != nil { // completed between lookup and join
 		s.cache.hits.inc()
-		s.respond(w, &req, rep, "hit")
+		s.respondHit(w, &req, rep, start)
 		return
 	}
 
@@ -502,7 +503,7 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			s.cache.hits.inc()
-			s.respond(w, &req, fl.rep, "hit")
+			s.respondHit(w, &req, fl.rep, start)
 		case <-time.After(timeout):
 			s.refuse(w, http.StatusGatewayTimeout, "canceled", "deadline expired waiting for the in-flight solve")
 		case <-r.Context().Done():
@@ -578,6 +579,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.ExtraMetrics != nil {
 		s.cfg.ExtraMetrics(w)
 	}
+}
+
+// respondHit answers from a cached or shared report. Its wall_ms is this
+// request's own handler latency (since start), not the original solve's;
+// the cached report itself is left untouched.
+func (s *Server) respondHit(w http.ResponseWriter, req *Request, rep *report.Report, start time.Time) {
+	out := *rep
+	out.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
+	s.respond(w, req, &out, "hit")
 }
 
 // respond writes a success payload, cloning the shared report so the cache

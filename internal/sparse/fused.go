@@ -1,21 +1,13 @@
 package sparse
 
-import (
-	"math"
-
-	"mclg/internal/par"
-)
+import "math"
 
 // Fused MMSIM iteration kernels. Each replaces a sequence of full-length
 // vector sweeps with a single pass that performs the same per-element
 // floating-point operations in the same order — only the intermediate
 // stores/loads between the formerly separate sweeps disappear, which changes
-// no rounding. The parallel variants shard over a precomputed RowChunks
-// partition (or fixed par.GrainVec chunks for elementwise passes); every
-// per-element computation is independent and the reductions combine
-// fixed-chunk partials with max/AND, so any worker count is bit-identical to
-// the serial scan. As elsewhere in this package, workers <= 1 dispatches to a
-// closure-free serial path so the MMSIM steady state stays allocation-free.
+// no rounding. The kernels are closure-free so the MMSIM steady state stays
+// allocation-free.
 
 // FusedModulusRHS folds the modulus right-hand-side update
 //
@@ -23,30 +15,16 @@ import (
 //
 // into one pass over A's rows: on entry rhs holds N·s (from ApplyN), a holds
 // |s|, and on exit rhs is the full MMSIM right-hand side N·s + (Ω−A)|s| − γq.
-// omega == nil means Ω = I (the paper's choice), adding a[i] directly. ch may
-// be nil for the serial path; the parallel path requires it.
-func (m *CSR) FusedModulusRHS(workers int, ch *RowChunks, rhs, omega, a, q []float64, gamma float64) {
+// omega == nil means Ω = I (the paper's choice), adding a[i] directly.
+func (m *CSR) FusedModulusRHS(rhs, omega, a, q []float64, gamma float64) {
 	n := m.Rows
 	if len(rhs) != n || len(a) != m.Cols || len(q) != n {
 		panic("sparse: FusedModulusRHS dimension mismatch")
 	}
-	ng := -gamma
-	if par.Resolve(workers) <= 1 || ch == nil || ch.NumChunks() <= 1 {
-		m.fusedModulusRHSRange(0, n, rhs, omega, a, q, ng)
-		return
-	}
-	bounds := ch.Bounds
-	par.For(workers, ch.NumChunks(), 1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			m.fusedModulusRHSRange(bounds[c], bounds[c+1], rhs, omega, a, q, ng)
-		}
-	})
-}
-
-func (m *CSR) fusedModulusRHSRange(lo, hi int, rhs, omega, a, q []float64, negGamma float64) {
+	negGamma := -gamma
 	rowPtr := m.RowPtr
 	if omega == nil {
-		for i := lo; i < hi; i++ {
+		for i := 0; i < n; i++ {
 			s := 0.0
 			cols := m.ColIdx[rowPtr[i]:rowPtr[i+1]]
 			vals := m.Val[rowPtr[i]:rowPtr[i+1]]
@@ -60,7 +38,7 @@ func (m *CSR) fusedModulusRHSRange(lo, hi int, rhs, omega, a, q []float64, negGa
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		s := 0.0
 		cols := m.ColIdx[rowPtr[i]:rowPtr[i+1]]
 		vals := m.Val[rowPtr[i]:rowPtr[i+1]]
@@ -76,30 +54,19 @@ func (m *CSR) fusedModulusRHSRange(lo, hi int, rhs, omega, a, q []float64, negGa
 // modulus back-transform z[i] = (|s[i]| + s[i])/γ, the |s| capture the NEXT
 // iteration's rhs pass needs (written to absS), the finiteness scan, and the
 // ‖z − zPrev‖∞ step norm. Returns (dz, finite). The per-element arithmetic is
-// exactly the unfused sequence's: the abs/divide order is unchanged and the
-// max/AND reductions are combination-order-insensitive, so dz and the finite
-// verdict are bit-identical to running the four sweeps separately, at any
-// worker count.
-func FusedZUpdate(workers int, z, zPrev, s, absS []float64, gamma float64) (float64, bool) {
+// exactly the unfused sequence's, so dz and the finite verdict are
+// bit-identical to running the four sweeps separately.
+func FusedZUpdate(z, zPrev, s, absS []float64, gamma float64) (float64, bool) {
 	n := len(s)
 	if len(z) != n || len(zPrev) != n || len(absS) != n {
 		panic("sparse: FusedZUpdate length mismatch")
 	}
-	if par.Resolve(workers) <= 1 {
-		return fusedZUpdateRange(0, n, z, zPrev, s, absS, gamma)
-	}
-	return par.ReduceMaxOK(workers, n, par.GrainVec, func(lo, hi int) (float64, bool) {
-		return fusedZUpdateRange(lo, hi, z, zPrev, s, absS, gamma)
-	})
-}
-
-func fusedZUpdateRange(lo, hi int, z, zPrev, s, absS []float64, gamma float64) (float64, bool) {
 	dz := 0.0
 	finite := true
 	if gamma == 1 {
 		// γ = 1 (the default): x/1 is the bit-exact identity for every
 		// float64, so the division is skipped entirely.
-		for i := lo; i < hi; i++ {
+		for i := 0; i < n; i++ {
 			si := s[i]
 			ai := math.Abs(si)
 			absS[i] = ai
@@ -116,7 +83,7 @@ func fusedZUpdateRange(lo, hi int, z, zPrev, s, absS []float64, gamma float64) (
 		}
 		return dz, finite
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		si := s[i]
 		ai := math.Abs(si)
 		absS[i] = ai
@@ -141,27 +108,9 @@ func (m *CSR) ScaleAddMulVec(dst, base []float64, coef float64, x []float64, alp
 	if len(dst) != m.Rows || len(base) != m.Rows || len(x) != m.Cols {
 		panic("sparse: ScaleAddMulVec dimension mismatch")
 	}
-	m.scaleAddMulVecRange(0, m.Rows, dst, base, coef, x, alpha)
-}
-
-// ScaleAddMulVecP is ScaleAddMulVec sharded by row.
-func (m *CSR) ScaleAddMulVecP(workers int, dst, base []float64, coef float64, x []float64, alpha float64) {
-	if len(dst) != m.Rows || len(base) != m.Rows || len(x) != m.Cols {
-		panic("sparse: ScaleAddMulVec dimension mismatch")
-	}
-	if par.Resolve(workers) <= 1 {
-		m.scaleAddMulVecRange(0, m.Rows, dst, base, coef, x, alpha)
-		return
-	}
-	par.For(workers, m.Rows, par.GrainRows, func(lo, hi int) {
-		m.scaleAddMulVecRange(lo, hi, dst, base, coef, x, alpha)
-	})
-}
-
-func (m *CSR) scaleAddMulVecRange(lo, hi int, dst, base []float64, coef float64, x []float64, alpha float64) {
 	rowPtr := m.RowPtr
 	if coef == 1 {
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m.Rows; i++ {
 			s := 0.0
 			cols := m.ColIdx[rowPtr[i]:rowPtr[i+1]]
 			vals := m.Val[rowPtr[i]:rowPtr[i+1]]
@@ -175,7 +124,7 @@ func (m *CSR) scaleAddMulVecRange(lo, hi int, dst, base []float64, coef float64,
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		s := 0.0
 		cols := m.ColIdx[rowPtr[i]:rowPtr[i+1]]
 		vals := m.Val[rowPtr[i]:rowPtr[i+1]]

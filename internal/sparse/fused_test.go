@@ -52,45 +52,6 @@ func TestAtBinarySearchMatchesDense(t *testing.T) {
 	}
 }
 
-func TestRowChunksInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 25; trial++ {
-		rows := rng.Intn(200)
-		m := randCSR(rng, rows+1, 50, 0.2) // rows+1: never a 0-row Builder
-		target := 1 + rng.Intn(64)
-		ch := m.RowChunks(target)
-		if ch.Bounds[0] != 0 || ch.Bounds[len(ch.Bounds)-1] != m.Rows {
-			t.Fatalf("bounds %v do not cover [0, %d]", ch.Bounds, m.Rows)
-		}
-		for c := 0; c < ch.NumChunks(); c++ {
-			lo, hi := ch.Bounds[c], ch.Bounds[c+1]
-			if hi <= lo {
-				t.Fatalf("empty chunk %d: [%d, %d)", c, lo, hi)
-			}
-			if ch.NnzStart[c] != m.RowPtr[lo] {
-				t.Fatalf("chunk %d: NnzStart %d, RowPtr[%d] = %d", c, ch.NnzStart[c], lo, m.RowPtr[lo])
-			}
-			// A chunk only exceeds the target because its last row tipped it
-			// over (single rows can be wider than the target).
-			nnz := m.RowPtr[hi] - m.RowPtr[lo]
-			prev := m.RowPtr[hi-1] - m.RowPtr[lo]
-			if nnz >= target && hi-lo > 1 && prev >= target {
-				t.Fatalf("chunk %d: %d rows with %d nnz should have split before row %d", c, hi-lo, nnz, hi-1)
-			}
-		}
-		// Pure function of structure: a second derivation is identical.
-		ch2 := m.RowChunks(target)
-		if len(ch2.Bounds) != len(ch.Bounds) {
-			t.Fatalf("non-deterministic chunking: %v vs %v", ch.Bounds, ch2.Bounds)
-		}
-		for i := range ch.Bounds {
-			if ch.Bounds[i] != ch2.Bounds[i] {
-				t.Fatalf("non-deterministic chunking at %d: %v vs %v", i, ch.Bounds, ch2.Bounds)
-			}
-		}
-	}
-}
-
 // unfusedModulusRHS is the pre-fusion sweep sequence the fused kernel must
 // reproduce bit for bit.
 func unfusedModulusRHS(m *CSR, rhs, omega, a, q []float64, gamma float64) {
@@ -120,12 +81,9 @@ func TestFusedModulusRHSMatchesUnfused(t *testing.T) {
 		}
 		want := append([]float64(nil), base...)
 		unfusedModulusRHS(m, want, omega, a, q, gamma)
-		ch := m.RowChunks(16) // small target so parallel runs see many chunks
-		for _, w := range workerCounts {
-			got := append([]float64(nil), base...)
-			m.FusedModulusRHS(w, ch, got, omega, a, q, gamma)
-			sameBits(t, "FusedModulusRHS", got, want)
-		}
+		got := append([]float64(nil), base...)
+		m.FusedModulusRHS(got, omega, a, q, gamma)
+		sameBits(t, "FusedModulusRHS", got, want)
 	}
 }
 
@@ -153,18 +111,16 @@ func TestFusedZUpdateMatchesUnfused(t *testing.T) {
 			}
 		}
 		wantDz := DiffNormInf(wantZ, zPrev)
-		for _, w := range workerCounts {
-			z := make([]float64, n)
-			absS := make([]float64, n)
-			dz, ok := FusedZUpdate(w, z, zPrev, s, absS, gamma)
-			sameBits(t, "FusedZUpdate z", z, wantZ)
-			sameBits(t, "FusedZUpdate absS", absS, wantAbs)
-			if ok != wantOK {
-				t.Fatalf("workers %d: finite = %v, want %v", w, ok, wantOK)
-			}
-			if wantOK && math.Float64bits(dz) != math.Float64bits(wantDz) {
-				t.Fatalf("workers %d: dz = %x, want %x", w, math.Float64bits(dz), math.Float64bits(wantDz))
-			}
+		z := make([]float64, n)
+		absS := make([]float64, n)
+		dz, ok := FusedZUpdate(z, zPrev, s, absS, gamma)
+		sameBits(t, "FusedZUpdate z", z, wantZ)
+		sameBits(t, "FusedZUpdate absS", absS, wantAbs)
+		if ok != wantOK {
+			t.Fatalf("trial %d: finite = %v, want %v", trial, ok, wantOK)
+		}
+		if wantOK && math.Float64bits(dz) != math.Float64bits(wantDz) {
+			t.Fatalf("trial %d: dz = %x, want %x", trial, math.Float64bits(dz), math.Float64bits(wantDz))
 		}
 	}
 }
@@ -192,10 +148,5 @@ func TestScaleAddMulVecMatchesUnfused(t *testing.T) {
 		got := make([]float64, rows)
 		m.ScaleAddMulVec(got, base, coef, x, alpha)
 		sameBits(t, "ScaleAddMulVec", got, want)
-		for _, w := range workerCounts {
-			clear(got)
-			m.ScaleAddMulVecP(w, got, base, coef, x, alpha)
-			sameBits(t, "ScaleAddMulVecP", got, want)
-		}
 	}
 }

@@ -78,8 +78,8 @@ type TridiagSolver struct {
 	diag []float64 // pivots after elimination
 	sup  []float64 // unchanged superdiagonal
 	// segments holds the independent-block boundaries (see Segments),
-	// computed eagerly by Factor so concurrent SolveP calls never mutate
-	// solver state.
+	// computed eagerly by Factor so concurrent SolveSegmented calls never
+	// mutate solver state.
 	segments []int
 }
 
@@ -131,6 +131,131 @@ func (s *TridiagSolver) Solve(dst, rhs []float64) {
 	// Back substitution.
 	dst[n-1] /= diag[n-1]
 	for i := n - 2; i >= 0; i-- {
+		dst[i] = (dst[i] - sup[i]*dst[i+1]) / diag[i]
+	}
+}
+
+// Segments returns the boundaries of the independent diagonal blocks of the
+// factored matrix: positions where both the subdiagonal multiplier and the
+// superdiagonal entry vanish, so neither the forward sweep nor the back
+// substitution couples across the boundary. The legalizer's Schur tridiagonal
+// D has one such block per placement row (consecutive constraints in
+// different rows share no variables). The returned slice holds block start
+// indices plus the terminating n.
+func (s *TridiagSolver) Segments() []int {
+	if s.segments == nil {
+		segs := []int{0}
+		for i := 1; i < s.n; i++ {
+			if s.low[i] == 0 && s.sup[i-1] == 0 {
+				segs = append(segs, i)
+			}
+		}
+		s.segments = append(segs, s.n)
+	}
+	return s.segments
+}
+
+// SolveSegmented solves t*dst = rhs like Solve, but runs the Thomas sweeps
+// block by block over the independent diagonal blocks reported by Segments,
+// interleaving four blocks at a time (see solveSegmentsInterleaved). Within a
+// block the sweeps are unchanged, and across a zero boundary the serial
+// sweeps are no-ops (the eliminated term is 0·x), so the result is identical
+// to Solve (up to the sign of exact zeros). dst and rhs may alias.
+func (s *TridiagSolver) SolveSegmented(dst, rhs []float64) {
+	if len(dst) != s.n || len(rhs) != s.n {
+		panic("sparse: TridiagSolver.Solve dimension mismatch")
+	}
+	if s.n == 0 {
+		return
+	}
+	segs := s.Segments()
+	if len(segs) <= 2 {
+		s.Solve(dst, rhs)
+		return
+	}
+	s.solveSegmentsInterleaved(segs, dst, rhs)
+}
+
+// solveSegmentsInterleaved runs the Thomas sweeps on independent blocks four
+// at a time, interleaving their recurrences so the four division chains of
+// the back substitutions overlap in the pipeline instead of serializing —
+// the sweeps are latency-bound (each element's divide waits on the previous
+// element's), and independent blocks are the only instruction-level
+// parallelism a bit-exact solve can exploit. Every block performs exactly
+// the arithmetic solveSegment would, in the same per-block order, so the
+// result is identical to solving the blocks one after another.
+func (s *TridiagSolver) solveSegmentsInterleaved(segs []int, dst, rhs []float64) {
+	low, diag, sup := s.low, s.diag, s.sup
+	nb := len(segs) - 1
+	b := 0
+	for ; b+4 <= nb; b += 4 {
+		a0, a1 := segs[b], segs[b+1]
+		b0, b1 := segs[b+1], segs[b+2]
+		c0, c1 := segs[b+2], segs[b+3]
+		d0, d1 := segs[b+3], segs[b+4]
+		// Forward elimination, four chains in lockstep.
+		dst[a0], dst[b0], dst[c0], dst[d0] = rhs[a0], rhs[b0], rhs[c0], rhs[d0]
+		ia, ib, ic, id := a0+1, b0+1, c0+1, d0+1
+		for ia < a1 && ib < b1 && ic < c1 && id < d1 {
+			dst[ia] = rhs[ia] - low[ia]*dst[ia-1]
+			dst[ib] = rhs[ib] - low[ib]*dst[ib-1]
+			dst[ic] = rhs[ic] - low[ic]*dst[ic-1]
+			dst[id] = rhs[id] - low[id]*dst[id-1]
+			ia, ib, ic, id = ia+1, ib+1, ic+1, id+1
+		}
+		for ; ia < a1; ia++ {
+			dst[ia] = rhs[ia] - low[ia]*dst[ia-1]
+		}
+		for ; ib < b1; ib++ {
+			dst[ib] = rhs[ib] - low[ib]*dst[ib-1]
+		}
+		for ; ic < c1; ic++ {
+			dst[ic] = rhs[ic] - low[ic]*dst[ic-1]
+		}
+		for ; id < d1; id++ {
+			dst[id] = rhs[id] - low[id]*dst[id-1]
+		}
+		// Back substitution, four division chains in lockstep.
+		dst[a1-1] /= diag[a1-1]
+		dst[b1-1] /= diag[b1-1]
+		dst[c1-1] /= diag[c1-1]
+		dst[d1-1] /= diag[d1-1]
+		ja, jb, jc, jd := a1-2, b1-2, c1-2, d1-2
+		for ja >= a0 && jb >= b0 && jc >= c0 && jd >= d0 {
+			dst[ja] = (dst[ja] - sup[ja]*dst[ja+1]) / diag[ja]
+			dst[jb] = (dst[jb] - sup[jb]*dst[jb+1]) / diag[jb]
+			dst[jc] = (dst[jc] - sup[jc]*dst[jc+1]) / diag[jc]
+			dst[jd] = (dst[jd] - sup[jd]*dst[jd+1]) / diag[jd]
+			ja, jb, jc, jd = ja-1, jb-1, jc-1, jd-1
+		}
+		for ; ja >= a0; ja-- {
+			dst[ja] = (dst[ja] - sup[ja]*dst[ja+1]) / diag[ja]
+		}
+		for ; jb >= b0; jb-- {
+			dst[jb] = (dst[jb] - sup[jb]*dst[jb+1]) / diag[jb]
+		}
+		for ; jc >= c0; jc-- {
+			dst[jc] = (dst[jc] - sup[jc]*dst[jc+1]) / diag[jc]
+		}
+		for ; jd >= d0; jd-- {
+			dst[jd] = (dst[jd] - sup[jd]*dst[jd+1]) / diag[jd]
+		}
+	}
+	for ; b < nb; b++ {
+		s.solveSegment(segs[b], segs[b+1], dst, rhs)
+	}
+}
+
+// solveSegment runs the Thomas sweeps on rows [lo, hi), which must form an
+// independent block (low[lo] == 0 or lo == 0, sup[hi-1] == 0 or hi == n).
+func (s *TridiagSolver) solveSegment(lo, hi int, dst, rhs []float64) {
+	low, diag, sup := s.low, s.diag, s.sup
+	dst[lo] = rhs[lo]
+	for i := lo + 1; i < hi; i++ {
+		dst[i] = rhs[i] - low[i]*dst[i-1]
+	}
+	dst[hi-1] /= diag[hi-1]
+	for i := hi - 2; i >= lo; i-- {
 		dst[i] = (dst[i] - sup[i]*dst[i+1]) / diag[i]
 	}
 }
